@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // CompactingLRUCache is an LRU code cache that defragments instead of
@@ -28,10 +28,10 @@ type CompactingLRUCache struct {
 	// endpoint; each needs its encoded jump target rewritten.
 	LinksRepatched uint64
 
-	// Reusable compaction scratch: the offset-sorted resident-ID list and
-	// an epoch-stamped moved set, so steady-state compaction allocates
-	// nothing beyond sort.Slice bookkeeping.
-	compactScratch []SuperblockID
+	// Reusable compaction scratch: the offset-sorted resident list as
+	// packed offset<<26|id keys and an epoch-stamped moved set, so
+	// steady-state compaction allocates nothing.
+	compactScratch []uint64
 	movedMarks     []uint32
 	movedEpoch     uint32
 }
@@ -75,19 +75,27 @@ func (c *CompactingLRUCache) moved(id SuperblockID) bool {
 	return int(id) < len(c.movedMarks) && c.movedMarks[id] == c.movedEpoch
 }
 
+// compactIDBits is the width of the ID field in a compaction sort key:
+// every dense ID fits (MaxSuperblockID is 2^26-1).
+const compactIDBits = 26
+
 // compact slides all resident blocks to the bottom of the arena in offset
 // order, leaving one coalesced hole at the top, and accounts for the link
 // re-patching the move forces.
 func (c *CompactingLRUCache) compact() {
-	ids := c.compactScratch[:0]
+	// Sort resident blocks by offset as packed offset<<26|id keys: resident
+	// offsets are distinct, so the key order is the offset order, and a
+	// plain integer sort needs no comparator or per-compare table lookup.
+	keys := c.compactScratch[:0]
 	for id := c.head; id != lruNil; id = c.nextID[id] {
-		ids = append(ids, SuperblockID(id))
+		keys = append(keys, uint64(c.where[id])<<compactIDBits|uint64(id))
 	}
-	sort.Slice(ids, func(i, j int) bool { return c.where[ids[i]] < c.where[ids[j]] })
+	slices.Sort(keys)
 	c.movedEpoch++
 	at := 0
 	var bytesMoved uint64
-	for _, id := range ids {
+	for _, k := range keys {
+		id := SuperblockID(k & uint64(MaxSuperblockID))
 		if c.where[id] != int64(at) {
 			c.markMoved(id)
 			bytesMoved += uint64(c.sizes[id])
@@ -95,7 +103,7 @@ func (c *CompactingLRUCache) compact() {
 		}
 		at += int(c.sizes[id])
 	}
-	c.compactScratch = ids
+	c.compactScratch = keys
 	c.holes.reset(at, c.capacity-at)
 	// Every patched link with a moved endpoint must be rewritten: if the
 	// source moved, its jump instruction moved with it (cheap) but the

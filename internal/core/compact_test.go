@@ -1,6 +1,10 @@
 package core
 
-import "testing"
+import (
+	"reflect"
+	"sort"
+	"testing"
+)
 
 func TestCompactingLRUBasics(t *testing.T) {
 	c, err := NewCompactingLRU(100)
@@ -128,5 +132,102 @@ func TestCompactingLRUUnderChurn(t *testing.T) {
 	// And the paper's objection stands: compaction forces link rewrites.
 	if c.LinksRepatched == 0 {
 		t.Fatal("compactions should have repatched links")
+	}
+}
+
+// compactSortSlice is the reference compaction: the comparator sort over
+// resident IDs that compact replaced with a packed-key integer sort.
+// Resident offsets are distinct, so both must produce the same layout.
+func compactSortSlice(c *CompactingLRUCache) {
+	var ids []SuperblockID
+	for id := c.head; id != lruNil; id = c.nextID[id] {
+		ids = append(ids, SuperblockID(id))
+	}
+	sort.Slice(ids, func(i, j int) bool { return c.where[ids[i]] < c.where[ids[j]] })
+	c.movedEpoch++
+	at := 0
+	var bytesMoved uint64
+	for _, id := range ids {
+		if c.where[id] != int64(at) {
+			c.markMoved(id)
+			bytesMoved += uint64(c.sizes[id])
+			c.where[id] = int64(at)
+		}
+		at += int(c.sizes[id])
+	}
+	c.holes.reset(at, c.capacity-at)
+	var repatched uint64
+	c.links.forEachPatched(func(from, to SuperblockID) {
+		if c.moved(from) || c.moved(to) {
+			repatched++
+		}
+	})
+	c.Compactions++
+	c.BytesMoved += bytesMoved
+	c.LinksRepatched += repatched
+}
+
+// TestCompactionMatchesSortSliceReference drives random churn through two
+// compacting caches, one compacting with the reference comparator sort:
+// the arena layout and every compaction counter must agree after each
+// operation, including compactions forced between operations. Steady-state
+// compaction must not allocate.
+func TestCompactionMatchesSortSliceReference(t *testing.T) {
+	if MaxSuperblockID != 1<<compactIDBits-1 {
+		t.Fatalf("compaction key ID field is %d bits, MaxSuperblockID is %d", compactIDBits, MaxSuperblockID)
+	}
+	const capacity = 3000
+	got, _ := NewCompactingLRU(capacity)
+	ref, _ := NewCompactingLRU(capacity)
+	ref.preEvict = func(size int) bool {
+		if ref.fits(size) || ref.FreeBytes() < size {
+			return false
+		}
+		compactSortSlice(ref)
+		return true
+	}
+	r := newTestRand()
+	const span = 300
+	sizes := make([]int, span)
+	for i := range sizes {
+		sizes[i] = 8 + r.Intn(200)
+	}
+	for step := 0; step < 30000; step++ {
+		id := SuperblockID(r.Intn(span))
+		switch {
+		case r.Intn(50) == 0:
+			got.compact()
+			compactSortSlice(ref)
+		case !got.Access(id):
+			if ref.Access(id) {
+				t.Fatalf("step %d: block %d resident only in the reference", step, id)
+			}
+			b := Superblock{ID: id, Size: sizes[id], Links: []SuperblockID{SuperblockID(r.Intn(span)), SuperblockID(r.Intn(span))}}
+			if err := got.Insert(b); err != nil {
+				t.Fatal(err)
+			}
+			if err := ref.Insert(b); err != nil {
+				t.Fatal(err)
+			}
+		default:
+			ref.Access(id)
+		}
+		if !reflect.DeepEqual(got.where, ref.where) {
+			t.Fatalf("step %d: arena layouts diverge", step)
+		}
+		if got.Compactions != ref.Compactions || got.BytesMoved != ref.BytesMoved || got.LinksRepatched != ref.LinksRepatched {
+			t.Fatalf("step %d: counters (%d, %d, %d), reference (%d, %d, %d)", step,
+				got.Compactions, got.BytesMoved, got.LinksRepatched,
+				ref.Compactions, ref.BytesMoved, ref.LinksRepatched)
+		}
+	}
+	if got.Compactions < 1000 || got.LinksRepatched == 0 {
+		t.Fatalf("churn too mild: %d compactions, %d links repatched", got.Compactions, got.LinksRepatched)
+	}
+	if err := got.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(100, got.compact); allocs != 0 {
+		t.Errorf("steady-state compaction allocated %.1f times per run, want 0", allocs)
 	}
 }

@@ -44,7 +44,8 @@ type Config struct {
 }
 
 // DefaultConfig reproduces the paper's setup at full Table 1 scale.
-// A complete RunAll takes about a minute of CPU time.
+// A complete RunAll takes about 12 s of CPU time (9 s wall on a 2-CPU
+// x86 box, go1.24.0).
 func DefaultConfig() Config {
 	return Config{
 		Scale:             1.0,

@@ -193,9 +193,8 @@ func TestKernelUndefinedBlockError(t *testing.T) {
 // TestZeroAllocReplayKernel enforces the devirtualized kernel's
 // steady-state guarantee: once the cache's dense tables have grown to the
 // trace's ID span, replaying allocates nothing — for the FIFO family and
-// for every policy the engine split moved onto the same arena core.
-// Compacting-LRU is exempt: its defragmentation pass sorts resident
-// blocks with sort.Slice, which allocates by design.
+// for every policy the engine split moved onto the same arena core,
+// compacting-LRU's defragmentation passes included.
 func TestZeroAllocReplayKernel(t *testing.T) {
 	tr := testTraces(t, 0.3, "gzip")[0]
 	for _, policy := range []core.Policy{
@@ -203,6 +202,7 @@ func TestZeroAllocReplayKernel(t *testing.T) {
 		{Kind: core.PolicyUnits, Units: 8},
 		{Kind: core.PolicyFine},
 		{Kind: core.PolicyLRU},
+		{Kind: core.PolicyCompactingLRU},
 		{Kind: core.PolicyApproxLRU},
 		{Kind: core.PolicyAdaptive},
 		{Kind: core.PolicyPreemptive},

@@ -29,6 +29,12 @@
 //     are shared across configs because invocations never interleave.
 //     FLUSH configs short-circuit the walks entirely: every patched link
 //     dies intra-unit, so a running counter replaces classification.
+//   - The live-link census (Figures 12-13) is kept as running counters,
+//     not rebuilt per sample. Eviction removes a prefix of the FIFO
+//     queue, so a link's older endpoint is evicted no later than its
+//     younger one: each link becomes live charged to its older endpoint
+//     and dies exactly when that owner is evicted, which debits the
+//     owner's slot from the per-config totals.
 //
 // Equivalence with the per-config kernels over full core.Stats is held
 // by differential tests in this package and internal/check.
@@ -79,7 +85,6 @@ type mcEntry struct {
 type multiReplay struct {
 	traceName string
 	tables    replayTables
-	adj       *core.FrozenAdjacency
 	opts      Options
 
 	chainingDisabled bool
@@ -91,14 +96,19 @@ type multiReplay struct {
 	flushMask uint64 // bits of the FLUSH-mode configs
 
 	meta []idMeta // id -> residency bits, patched-in filter, evict epoch
-	// where maps id*nCfg + c to the block's virtual offset (mcAbsent when
-	// absent). Only the census edge-walk reads it, so it is allocated —
-	// and maintained — only when census or occupancy sampling is on.
+	// where maps id*nCfg + c to the block's unit token (mcAbsent when
+	// absent): voff/unitSize for unit configs, voff otherwise, so two
+	// resident blocks share a unit iff their tokens are equal. own maps
+	// the same index to the census charge of the live links whose older
+	// endpoint the block is (non-FLUSH configs only). Only census and
+	// occupancy samples read them, so both are allocated — and
+	// maintained — only when that sampling is on.
 	where []int64
+	own   []ownSlot
 	epoch uint64 // eviction-invocation epoch for idMeta.mark
 
-	// Hoisted CSR views of adj, so the hot loops index the edge arrays
-	// directly instead of re-deriving row slices per call.
+	// Hoisted CSR views of the frozen adjacency, so the hot loops index
+	// the edge arrays directly instead of re-deriving row slices per call.
 	finIdx, foutIdx     []int32
 	finEdges, foutEdges []core.SuperblockID
 
@@ -121,8 +131,12 @@ type multiReplay struct {
 	live     []int64
 	// patched maintains, for FLUSH configs only, the deduplicated
 	// patched-link count — at flush time every one of them dies
-	// intra-unit, which replaces the per-victim reverse-row walks.
+	// intra-unit, which replaces the per-victim reverse-row walks. It is
+	// also the FLUSH configs' census, which is intra-only.
 	patched [maxConfigsPerPass]uint64
+	// liveIntra/liveInter are the non-FLUSH configs' census totals: the
+	// sums of every resident block's own slot.
+	liveIntra, liveInter [maxConfigsPerPass]int64
 	// Hot per-edge counters live in fixed arrays (no slice header or
 	// bounds check in the declare loops) and fold into stats at finish.
 	linksPatched   [maxConfigsPerPass]uint64
@@ -136,8 +150,11 @@ type multiReplay struct {
 	censusSamples      int
 	intraSum, interSum []float64
 	backSum            []float64
-	cIntra, cInter     []int // census scratch, one slot per config
 }
+
+// ownSlot is one block's census charge in one config: the live links it
+// owns as their older endpoint, split by unit class.
+type ownSlot struct{ intra, inter int32 }
 
 const (
 	mcFlush = uint8(iota)
@@ -184,7 +201,6 @@ func newMultiReplay(name string, tabs *traceTables, nAccesses int, cfgs []SweepC
 	mr := &multiReplay{
 		traceName:        name,
 		tables:           tabs.tables,
-		adj:              adj,
 		opts:             opts,
 		chainingDisabled: opts.DisableChaining,
 		rowsExact:        adj.RowsExact(),
@@ -212,6 +228,7 @@ func newMultiReplay(name string, tabs *traceTables, nAccesses int, cfgs []SweepC
 		for i := range mr.where {
 			mr.where[i] = mcAbsent
 		}
+		mr.own = make([]ownSlot, span*nCfg)
 	}
 	for c, cfg := range cfgs {
 		if cfg.Pressure < 1 {
@@ -279,17 +296,15 @@ func newMultiReplay(name string, tabs *traceTables, nAccesses int, cfgs []SweepC
 		mr.intraSum = make([]float64, nCfg)
 		mr.interSum = make([]float64, nCfg)
 		mr.backSum = make([]float64, nCfg)
-		mr.cIntra = make([]int, nCfg)
-		mr.cInter = make([]int, nCfg)
 	}
 	return mr, nil
 }
 
 // reset returns the replay to a cold-cache state while keeping every
-// allocation (meta table, queue buffers) for reuse. Sampled replays
-// measure many short windows against the same configuration list; one
-// reused kernel amortizes construction across them. Census/occupancy
-// state is not reset — sampling rejects those options up front.
+// allocation (meta table, queue buffers, census columns) for reuse.
+// Sampled replays measure many short windows against the same
+// configuration list; one reused kernel amortizes construction across
+// them.
 func (mr *multiReplay) reset() {
 	clear(mr.meta)
 	mr.epoch = 0
@@ -298,8 +313,20 @@ func (mr *multiReplay) reset() {
 		mr.qfront[c], mr.qback[c] = 0, 0
 		mr.resident[c], mr.live[c] = 0, 0
 		mr.patched[c], mr.linksPatched[c], mr.pendingRelinks[c] = 0, 0, 0
+		mr.liveIntra[c], mr.liveInter[c] = 0, 0
 		mr.stats[c] = core.Stats{}
+		if occ := mr.results[c].Occupancy; occ != nil {
+			mr.results[c].Occupancy = occ[:0]
+		}
 	}
+	for i := range mr.where {
+		mr.where[i] = mcAbsent
+	}
+	clear(mr.own)
+	clear(mr.intraSum)
+	clear(mr.interSum)
+	clear(mr.backSum)
+	mr.censusSamples = 0
 	mr.idx = 0
 	mr.instrBytes = 0
 }
@@ -330,24 +357,24 @@ func (mr *multiReplay) replayChunk(ids []core.SuperblockID) error {
 		// Sample after the access that lands on the boundary, mirroring
 		// the generic kernel's (gi+1)%every == 0 rule.
 		if ce > 0 && mr.idx%ce == 0 {
-			mr.linkCounts()
 			for c := 0; c < mr.nCfg; c++ {
-				mr.intraSum[c] += float64(mr.cIntra[c])
-				mr.interSum[c] += float64(mr.cInter[c])
+				intra, inter := mr.liveLinks(c)
+				mr.intraSum[c] += float64(intra)
+				mr.interSum[c] += float64(inter)
 				if mr.mode[c] != mcFlush {
-					mr.backSum[c] += float64(16 * (mr.cIntra[c] + mr.cInter[c]))
+					mr.backSum[c] += float64(16 * (intra + inter))
 				}
 			}
 			mr.censusSamples++
 		}
 		if oe > 0 && mr.idx%oe == 0 {
-			mr.linkCounts()
 			for c := 0; c < mr.nCfg; c++ {
+				intra, inter := mr.liveLinks(c)
 				mr.results[c].Occupancy = append(mr.results[c].Occupancy, OccupancySample{
 					Access:        uint64(mr.idx),
 					ResidentBytes: int(mr.live[c]),
 					Resident:      mr.resident[c],
-					LiveLinks:     mr.cIntra[c] + mr.cInter[c],
+					LiveLinks:     intra + inter,
 				})
 			}
 		}
@@ -413,7 +440,11 @@ func (mr *multiReplay) missAll(id core.SuperblockID, missing uint64) error {
 		voff := head[c]
 		head[c] = voff + size
 		if ww != nil {
-			ww[base+c] = voff
+			if mr.mode[c] == mcUnit {
+				ww[base+c] = voff / mr.unitSize[c]
+			} else {
+				ww[base+c] = voff
+			}
 		}
 		q := mr.queue[c]
 		b := mr.qback[c]
@@ -452,12 +483,17 @@ func (mr *multiReplay) growQueue(c, n int) []mcEntry {
 // the target is resident, self-links always), one walk over the reverse
 // row (pending relinks from resident sources). Residency per config is
 // one bit test, so each edge costs a mask AND plus a bit iteration over
-// only the configs it is actually patched in.
+// only the configs it is actually patched in. With census sampling on,
+// each edge that becomes live in a non-FLUSH config is also charged to
+// its older endpoint: id is the newest block in every missing config, so
+// that is the target of an out-row edge, the source of an in-row edge,
+// and id itself for a self-link.
 func (mr *multiReplay) declareShared(id core.SuperblockID, missing uint64) {
 	meta := mr.meta
 	lp := &mr.linksPatched
 	pp := &mr.patched
 	fm := mr.flushMask
+	census := mr.own != nil
 	outRow := mr.foutEdges[mr.foutIdx[id]:mr.foutIdx[id+1]]
 	if mr.rowsExact {
 		for _, to := range outRow {
@@ -472,6 +508,9 @@ func (mr *multiReplay) declareShared(id core.SuperblockID, missing uint64) {
 			}
 			for x := m & fm; x != 0; x &= x - 1 {
 				pp[bits.TrailingZeros64(x)]++
+			}
+			if census && m&^fm != 0 {
+				mr.chargeLive(to, id, m&^fm)
 			}
 		}
 	} else {
@@ -501,6 +540,9 @@ func (mr *multiReplay) declareShared(id core.SuperblockID, missing uint64) {
 			for x := m & fm; x != 0; x &= x - 1 {
 				pp[bits.TrailingZeros64(x)]++
 			}
+			if census && m&^fm != 0 {
+				mr.chargeLive(to, id, m&^fm)
+			}
 		}
 	}
 	var relinked uint64
@@ -518,8 +560,32 @@ func (mr *multiReplay) declareShared(id core.SuperblockID, missing uint64) {
 		for x := m & fm; x != 0; x &= x - 1 {
 			pp[bits.TrailingZeros64(x)]++
 		}
+		if census && m&^fm != 0 {
+			mr.chargeLive(from, id, m&^fm)
+		}
 	}
 	meta[id].pin |= relinked
+}
+
+// chargeLive records one link between owner (its older endpoint) and
+// other going live in every config of m (non-FLUSH configs only): it is
+// classified intra-unit iff the two unit tokens are equal, and charged to
+// both owner's slot and the config's totals.
+func (mr *multiReplay) chargeLive(owner, other core.SuperblockID, m uint64) {
+	nCfg := mr.nCfg
+	ob, xb := int(owner)*nCfg, int(other)*nCfg
+	where, own := mr.where, mr.own
+	for ; m != 0; m &= m - 1 {
+		c := bits.TrailingZeros64(m)
+		o := &own[ob+c]
+		if where[ob+c] == where[xb+c] {
+			o.intra++
+			mr.liveIntra[c]++
+		} else {
+			o.inter++
+			mr.liveInter[c]++
+		}
+	}
 }
 
 // evictFor runs one eviction invocation for config c, making room for an
@@ -618,9 +684,21 @@ func (mr *multiReplay) evictBelow(c int, frontier int64) {
 		}
 	}
 	if where != nil {
+		// A link dies iff it has a victim endpoint, and its owner (the
+		// older endpoint) is then a victim too, since eviction takes a
+		// queue prefix: debiting the victims' slots retires exactly the
+		// links that die.
+		own := mr.own
+		var intra, inter int64
 		for k := qf; k < end; k++ {
-			where[int(q[k].id)*nCfg+c] = mcAbsent
+			j := int(q[k].id)*nCfg + c
+			where[j] = mcAbsent
+			intra += int64(own[j].intra)
+			inter += int64(own[j].inter)
+			own[j] = ownSlot{}
 		}
+		mr.liveIntra[c] -= intra
+		mr.liveInter[c] -= inter
 	}
 	n := end - qf
 	bytes := voff - mr.tail[c]
@@ -650,57 +728,14 @@ func (mr *multiReplay) evictBelow(c int, frontier int64) {
 	}
 }
 
-// linkCounts fills the census scratch with each config's patched links
-// classified intra/inter by unit token, in one edge-major walk over the
-// shared adjacency: an edge is patched in config c iff both endpoints'
-// residency bits are set, and its unit token comes from the offsets.
-func (mr *multiReplay) linkCounts() {
-	nCfg := mr.nCfg
-	for c := 0; c < nCfg; c++ {
-		mr.cIntra[c], mr.cInter[c] = 0, 0
+// liveLinks returns config c's live-link census, intra-unit then
+// inter-unit. FLUSH configs hold one unit, so every patched link is
+// intra-unit and the running patched counter is the census.
+func (mr *multiReplay) liveLinks(c int) (intra, inter int) {
+	if mr.mode[c] == mcFlush {
+		return int(mr.patched[c]), 0
 	}
-	if mr.chainingDisabled {
-		return
-	}
-	meta := mr.meta
-	where := mr.where
-	n := mr.adj.NumBlocks()
-	for from := 0; from < n; from++ {
-		row := mr.adj.OutRow(core.SuperblockID(from))
-		if len(row) == 0 {
-			continue
-		}
-		mf := meta[from].res
-		if mf == 0 {
-			continue
-		}
-		basef := from * nCfg
-		for _, to := range row {
-			m := mf
-			if int(to) != from {
-				m &= meta[to].res
-			}
-			for x := m; x != 0; x &= x - 1 {
-				c := bits.TrailingZeros64(x)
-				switch mr.mode[c] {
-				case mcFlush:
-					mr.cIntra[c]++
-				case mcUnit:
-					if where[basef+c]/mr.unitSize[c] == where[int(to)*nCfg+c]/mr.unitSize[c] {
-						mr.cIntra[c]++
-					} else {
-						mr.cInter[c]++
-					}
-				default: // fine: every block is its own unit
-					if int(to) == from {
-						mr.cIntra[c]++
-					} else {
-						mr.cInter[c]++
-					}
-				}
-			}
-		}
-	}
+	return int(mr.liveIntra[c]), int(mr.liveInter[c])
 }
 
 // finish folds the accumulated state into per-config Results, in config
