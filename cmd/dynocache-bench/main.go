@@ -23,19 +23,19 @@
 //
 // The replayed policy defaults to fine-grained FIFO and can be pinned to
 // any core policy name with -policy (e.g. -policy lru, -policy 8-unit,
-// -policy generational/8). Comparison rows replay the same trace under
-// exact LRU and sampling approx-LRU so the report always quantifies the
-// recency kernels against the FIFO family.
+// -policy generational/8). A comparison row replays the same trace under
+// exact LRU so the report always quantifies the recency kernel against
+// the FIFO family.
 //
 // With -gate, the freshly measured report is compared against a committed
 // one and the run fails if replay throughput regressed by more than
 // -gate-drop (default 15%). The gated metrics are within-process ratios —
-// replay_speedup_vs_legacy plus the recency-kernel cost ratios
-// lru_cost_vs_generic and approxlru_cost_vs_generic — so they transfer
-// across machines of different absolute speed. The LRU cost additionally
-// has an absolute ceiling: the exact-LRU kernel must stay under 2x the
-// generic FIFO kernel's ns/op, enforced with the same noise allowance
-// as the relative gates (the measured ratio sits right at the target).
+// replay_speedup_vs_legacy plus the recency-kernel cost ratio
+// lru_cost_vs_generic — so they transfer across machines of different
+// absolute speed. The LRU cost additionally has an absolute ceiling: the
+// exact-LRU kernel must stay under 2x the generic FIFO kernel's ns/op,
+// enforced with the same noise allowance as the relative gates (the
+// measured ratio sits right at the target).
 //
 // Usage:
 //
@@ -121,14 +121,12 @@ type benchReport struct {
 	// the frozen pre-kernel loop's, on the single-run replay workload.
 	ReplaySpeedupVsLegacy float64 `json:"replay_speedup_vs_legacy"`
 
-	// LRUCostVsGeneric and ApproxLRUCostVsGeneric are the recency
-	// kernels' ns/op over the generic FIFO kernel's on the same trace —
-	// the price of exact (heap arena, first-fit holes, recency list) and
-	// sampled (random-probe timestamps) LRU relative to a baseline FIFO
-	// loop with none of that machinery. Present only when the comparison
-	// rows ran (the replayed policy is not itself the row's policy).
-	LRUCostVsGeneric       float64 `json:"lru_cost_vs_generic,omitempty"`
-	ApproxLRUCostVsGeneric float64 `json:"approxlru_cost_vs_generic,omitempty"`
+	// LRUCostVsGeneric is the exact-LRU kernel's ns/op over the generic
+	// FIFO kernel's on the same trace — the price of the heap arena,
+	// first-fit holes and recency list relative to a baseline FIFO loop
+	// with none of that machinery. Present only when the comparison row
+	// ran (the replayed policy is not itself LRU).
+	LRUCostVsGeneric float64 `json:"lru_cost_vs_generic,omitempty"`
 
 	// ReplaySpeedupVsBaseline is the same ratio against the out-of-tree
 	// baseline measurement, when one was provided.
@@ -214,18 +212,12 @@ func run() error {
 		return err
 	}
 	lruPolicy := core.Policy{Kind: core.PolicyLRU}
-	approxPolicy := core.Policy{Kind: core.PolicyApproxLRU}
 
 	if err := selfCheck(tr, policy, *pressure); err != nil {
 		return err
 	}
 	if policy != lruPolicy {
 		if err := selfCheck(tr, lruPolicy, *pressure); err != nil {
-			return err
-		}
-	}
-	if policy != approxPolicy {
-		if err := selfCheck(tr, approxPolicy, *pressure); err != nil {
 			return err
 		}
 	}
@@ -332,22 +324,6 @@ func run() error {
 			rep.LRUCostVsGeneric = lruNs / genericNs
 		}
 	}
-	if policy != approxPolicy {
-		// The sampling counterpart: random-probe timestamp LRU on the
-		// same devirtualized engine, so the report separates what exact
-		// recency ordering costs from what the heap arena costs.
-		approxNs := record("replay/approxlru", accesses, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := sim.Run(tr, approxPolicy, *pressure, sim.Options{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}).NsPerOp
-		if genericNs > 0 {
-			rep.ApproxLRUCostVsGeneric = approxNs / genericNs
-		}
-	}
 
 	sweepTraces, sweepAccesses, err := sweepWorkload(*sweepScale)
 	if err != nil {
@@ -449,51 +425,12 @@ func run() error {
 	})
 	sb.close()
 
-	// Migration row: one tenant populated with the full trace ping-pongs
-	// between two shards. An op is a round trip — two live handoffs moving
-	// the whole resident span — ending where it started, so every
-	// iteration relocates the same state. AccessesPerSec is meaningless
-	// here; the row's ns/op is the handoff cost and the report carries the
-	// flip-pause ceiling check.
-	msvc, err := service.New(service.Config{Shards: 2, Policy: policy, ShardCapacity: capacity})
-	if err != nil {
-		return err
-	}
-	mtn, err := msvc.RegisterPinned(tr.Name, 0, traceSpan(tr))
-	if err != nil {
-		msvc.Close()
-		return err
-	}
-	msb := &serviceBench{svc: msvc, tenants: []*service.Tenant{mtn}, regen: traceRegen(tr)}
-	if err := msb.replay(tr); err != nil {
-		msvc.Close()
-		return err
-	}
-	record("service/migrate", 0, func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if err := msvc.Migrate(tr.Name, 1); err != nil {
-				b.Fatal(err)
-			}
-			if err := msvc.Migrate(tr.Name, 0); err != nil {
-				b.Fatal(err)
-			}
+	// A policy whose state a span migration would not move whole is
+	// refused by Migrate, so it gets no migration row.
+	if policy.Migratable() {
+		if err := benchMigrate(tr, policy, capacity, *flipCeiling, rep, record); err != nil {
+			return err
 		}
-	})
-	if err := msvc.CheckConsistency(); err != nil {
-		msvc.Close()
-		return fmt.Errorf("service/migrate: ledger broken after handoffs: %w", err)
-	}
-	migStats := msvc.MigrationStats()
-	msb.close()
-	rep.MigrateFlipPauseMaxNs = migStats.FlipPauseMax.Nanoseconds()
-	if migStats.Completed > 0 {
-		rep.MigrateFlipPauseAvgNs = migStats.FlipPauseTotal.Nanoseconds() / int64(migStats.Completed)
-	}
-	fmt.Fprintf(os.Stderr, "migrate flip pause: avg %v, max %v over %d handoffs\n",
-		time.Duration(rep.MigrateFlipPauseAvgNs), migStats.FlipPauseMax, migStats.Completed)
-	if *flipCeiling > 0 && migStats.FlipPauseMax > *flipCeiling {
-		return fmt.Errorf("service/migrate: flip pause %v exceeds the %v ceiling", migStats.FlipPauseMax, *flipCeiling)
 	}
 
 	procs, err := parseCPUList(*cpuList)
@@ -552,9 +489,6 @@ func run() error {
 	fmt.Fprintf(os.Stderr, "replay speedup vs legacy: %.2fx\n", rep.ReplaySpeedupVsLegacy)
 	if rep.LRUCostVsGeneric > 0 {
 		fmt.Fprintf(os.Stderr, "lru cost vs generic: %.2fx\n", rep.LRUCostVsGeneric)
-	}
-	if rep.ApproxLRUCostVsGeneric > 0 {
-		fmt.Fprintf(os.Stderr, "approxlru cost vs generic: %.2fx\n", rep.ApproxLRUCostVsGeneric)
 	}
 	if rep.SweepSpeedupVsPerConfig > 0 {
 		fmt.Fprintf(os.Stderr, "sweep speedup vs per-config: %.2fx\n", rep.SweepSpeedupVsPerConfig)
@@ -654,10 +588,10 @@ func gateSweepSpeedup(rep, committed *benchReport, path string, maxDrop float64)
 // that reopens the historical gap.
 const lruCostCeiling = 2.0
 
-// gateRecency holds the recency-kernel cost ratios to their committed
-// values (same maxDrop tolerance as the replay speedup — here a cost
-// *increase* is the regression) and enforces the absolute LRU ceiling.
-// Both ratios are within-process, so they transfer across machines.
+// gateRecency holds the LRU kernel's cost ratio to its committed value
+// (same maxDrop tolerance as the replay speedup — here a cost *increase*
+// is the regression) and enforces the absolute LRU ceiling. The ratio is
+// within-process, so it transfers across machines.
 func gateRecency(rep, committed *benchReport, path string, maxDrop float64) error {
 	if rep.LRUCostVsGeneric > 0 {
 		hardCeil := lruCostCeiling * (1 + maxDrop)
@@ -668,23 +602,16 @@ func gateRecency(rep, committed *benchReport, path string, maxDrop float64) erro
 				rep.LRUCostVsGeneric, lruCostCeiling, maxDrop*100)
 		}
 	}
-	for _, m := range []struct {
-		name             string
-		fresh, committed float64
-	}{
-		{"lru_cost_vs_generic", rep.LRUCostVsGeneric, committed.LRUCostVsGeneric},
-		{"approxlru_cost_vs_generic", rep.ApproxLRUCostVsGeneric, committed.ApproxLRUCostVsGeneric},
-	} {
-		if m.fresh <= 0 || m.committed <= 0 {
-			continue // row absent on one side; nothing comparable
-		}
-		ceil := m.committed * (1 + maxDrop)
-		fmt.Fprintf(os.Stderr, "gate: %s %.2fx, committed %.2fx, ceiling %.2fx\n",
-			m.name, m.fresh, m.committed, ceil)
-		if m.fresh > ceil {
-			return fmt.Errorf("gate: %s regressed to %.2fx, more than %.0f%% above the committed %.2fx (%s)",
-				m.name, m.fresh, maxDrop*100, m.committed, path)
-		}
+	fresh, base := rep.LRUCostVsGeneric, committed.LRUCostVsGeneric
+	if fresh <= 0 || base <= 0 {
+		return nil // row absent on one side; nothing comparable
+	}
+	ceil := base * (1 + maxDrop)
+	fmt.Fprintf(os.Stderr, "gate: lru_cost_vs_generic %.2fx, committed %.2fx, ceiling %.2fx\n",
+		fresh, base, ceil)
+	if fresh > ceil {
+		return fmt.Errorf("gate: lru_cost_vs_generic regressed to %.2fx, more than %.0f%% above the committed %.2fx (%s)",
+			fresh, maxDrop*100, base, path)
 	}
 	return nil
 }
@@ -729,6 +656,57 @@ func equalInts(a, b []int) bool {
 		}
 	}
 	return true
+}
+
+// benchMigrate records the service/migrate row: one tenant populated
+// with the full trace ping-pongs between two shards. An op is a round
+// trip — two live handoffs moving the whole resident span — ending where
+// it started, so every iteration relocates the same state.
+// AccessesPerSec is meaningless here; the row's ns/op is the handoff
+// cost and the report carries the flip-pause ceiling check.
+func benchMigrate(tr *trace.Trace, policy core.Policy, capacity int, flipCeiling time.Duration,
+	rep *benchReport, record func(string, int, func(*testing.B)) benchResult) error {
+	msvc, err := service.New(service.Config{Shards: 2, Policy: policy, ShardCapacity: capacity})
+	if err != nil {
+		return err
+	}
+	mtn, err := msvc.RegisterPinned(tr.Name, 0, traceSpan(tr))
+	if err != nil {
+		msvc.Close()
+		return err
+	}
+	msb := &serviceBench{svc: msvc, tenants: []*service.Tenant{mtn}, regen: traceRegen(tr)}
+	if err := msb.replay(tr); err != nil {
+		msvc.Close()
+		return err
+	}
+	record("service/migrate", 0, func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := msvc.Migrate(tr.Name, 1); err != nil {
+				b.Fatal(err)
+			}
+			if err := msvc.Migrate(tr.Name, 0); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	if err := msvc.CheckConsistency(); err != nil {
+		msvc.Close()
+		return fmt.Errorf("service/migrate: ledger broken after handoffs: %w", err)
+	}
+	migStats := msvc.MigrationStats()
+	msb.close()
+	rep.MigrateFlipPauseMaxNs = migStats.FlipPauseMax.Nanoseconds()
+	if migStats.Completed > 0 {
+		rep.MigrateFlipPauseAvgNs = migStats.FlipPauseTotal.Nanoseconds() / int64(migStats.Completed)
+	}
+	fmt.Fprintf(os.Stderr, "migrate flip pause: avg %v, max %v over %d handoffs\n",
+		time.Duration(rep.MigrateFlipPauseAvgNs), migStats.FlipPauseMax, migStats.Completed)
+	if flipCeiling > 0 && migStats.FlipPauseMax > flipCeiling {
+		return fmt.Errorf("service/migrate: flip pause %v exceeds the %v ceiling", migStats.FlipPauseMax, flipCeiling)
+	}
+	return nil
 }
 
 // selfCheck replays the trace once through every loop the report times

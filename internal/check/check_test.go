@@ -108,7 +108,6 @@ func TestCheckedWithoutOracleStillRunsInvariantWall(t *testing.T) {
 		{Kind: core.PolicyCompactingLRU},
 		{Kind: core.PolicyAdaptive},
 		{Kind: core.PolicyPreemptive},
-		{Kind: core.PolicyApproxLRU},
 	} {
 		cache, err := p.New(4000)
 		if err != nil {

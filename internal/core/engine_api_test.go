@@ -72,8 +72,8 @@ func TestEngineAccessors(t *testing.T) {
 	}
 	c.ObserveMiss(0) // declared unobserved; must be a safe no-op
 	c.Reserve(63)
-	if c.LargestHole() != 256 {
-		t.Errorf("LargestHole = %d, want the whole arena", c.LargestHole())
+	if got := c.holes.largest(); got != 256 {
+		t.Errorf("largest hole = %d, want the whole arena", got)
 	}
 	var hooked []SuperblockID
 	eng.SetEvictHook(func(ids []SuperblockID) { hooked = append(hooked, ids...) })

@@ -116,9 +116,6 @@ func (c *LRUCache) Reserve(maxID SuperblockID) {
 // FreeBytes returns the total free space across all holes.
 func (c *LRUCache) FreeBytes() int { return c.freeBytes }
 
-// LargestHole returns the size of the biggest contiguous free region.
-func (c *LRUCache) LargestHole() int { return c.holes.largest() }
-
 // ObserveHit implements VictimPolicy; a hit refreshes recency.
 func (c *LRUCache) ObserveHit(id SuperblockID) { c.touch(int32(id)) }
 

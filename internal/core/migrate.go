@@ -67,8 +67,10 @@ type TenantState struct {
 
 // SpanMigrator is implemented by caches whose per-span state can be
 // extracted and reinstalled elsewhere. FIFOCache (all three granularity
-// modes) and LRUCache implement it; wrapper policies built on them
-// inherit it.
+// modes) and LRUCache implement it, and the policies embedding them
+// inherit it — including adaptive and preemptive, whose cache-wide
+// controller state it does not carry. Policy.Migratable names the
+// policies it moves whole.
 type SpanMigrator interface {
 	// ExtractSpan removes every resident block with ID in [base,
 	// base+span) and returns it as a TenantState in eviction order.

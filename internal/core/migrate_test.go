@@ -640,3 +640,24 @@ func FuzzTenantStateCodec(f *testing.F) {
 		}
 	})
 }
+
+// TestPolicyMigratable: every policy Migratable names builds a cache
+// that implements SpanMigrator, and the policies that inherit the FIFO
+// methods without carrying their controller state are not named.
+func TestPolicyMigratable(t *testing.T) {
+	for k := PolicyFlush; k <= PolicyGenerational; k++ {
+		p := Policy{Kind: k, Units: 8}
+		c, err := p.New(4096)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := c.(SpanMigrator); p.Migratable() && !ok {
+			t.Errorf("%s: Migratable but its cache is no SpanMigrator", p)
+		}
+	}
+	for _, k := range []PolicyKind{PolicyAdaptive, PolicyPreemptive, PolicyGenerational} {
+		if p := (Policy{Kind: k, Units: 8}); p.Migratable() {
+			t.Errorf("%s: must not be Migratable", p)
+		}
+	}
+}

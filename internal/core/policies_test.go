@@ -472,7 +472,6 @@ func TestAllPoliciesConservationLaws(t *testing.T) {
 		{Kind: PolicyUnits, Units: 16},
 		{Kind: PolicyFine},
 		{Kind: PolicyLRU},
-		{Kind: PolicyApproxLRU},
 		{Kind: PolicyAdaptive},
 		{Kind: PolicyPreemptive},
 	}

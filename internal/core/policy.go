@@ -19,7 +19,6 @@ const (
 	PolicyAdaptive
 	PolicyPreemptive
 	PolicyGenerational
-	PolicyApproxLRU
 )
 
 // Policy is a declarative cache specification, the unit of parameter
@@ -40,8 +39,6 @@ func (p Policy) String() string {
 		return "FIFO"
 	case PolicyLRU:
 		return "LRU"
-	case PolicyApproxLRU:
-		return "approx-LRU"
 	case PolicyCompactingLRU:
 		return "compacting-LRU"
 	case PolicyAdaptive:
@@ -66,8 +63,6 @@ func (p Policy) New(capacity int) (Cache, error) {
 		return NewFine(capacity)
 	case PolicyLRU:
 		return NewLRU(capacity)
-	case PolicyApproxLRU:
-		return NewApproxLRU(capacity)
 	case PolicyCompactingLRU:
 		return NewCompactingLRU(capacity)
 	case PolicyAdaptive:
@@ -85,10 +80,24 @@ func (p Policy) New(capacity int) (Cache, error) {
 	}
 }
 
+// Migratable reports whether a tenant's whole per-span policy state
+// travels in a TenantState, so that SpanMigrator extract/install keeps
+// solo replay equality. Adaptive and preemptive embed *FIFOCache and
+// inherit its SpanMigrator methods, but their controller and phase
+// detector are cache-wide and would stay behind on the source;
+// generational does not implement SpanMigrator at all.
+func (p Policy) Migratable() bool {
+	switch p.Kind {
+	case PolicyFlush, PolicyUnits, PolicyFine, PolicyLRU, PolicyCompactingLRU:
+		return true
+	}
+	return false
+}
+
 // ParsePolicy parses a policy display name: "flush", "fifo" (or "fine"),
-// "lru", "approx-lru", "compacting-lru", "adaptive", "preemptive", "N-unit" (e.g.
-// "8-unit", with "1-unit" meaning FLUSH), or "generational/N" (bare
-// "generational" defaults to 8 tenured units). It accepts every name
+// "lru", "compacting-lru", "adaptive", "preemptive", "N-unit" (e.g. "8-unit",
+// with "1-unit" meaning FLUSH), or "generational/N" (bare "generational"
+// defaults to 8 tenured units). It accepts every name
 // Policy.String produces.
 func ParsePolicy(s string) (Policy, error) {
 	s = strings.ToLower(strings.TrimSpace(s))
@@ -99,8 +108,6 @@ func ParsePolicy(s string) (Policy, error) {
 		return Policy{Kind: PolicyFine}, nil
 	case "lru":
 		return Policy{Kind: PolicyLRU}, nil
-	case "approx-lru", "approxlru":
-		return Policy{Kind: PolicyApproxLRU}, nil
 	case "compacting-lru":
 		return Policy{Kind: PolicyCompactingLRU}, nil
 	case "adaptive":

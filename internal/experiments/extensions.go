@@ -172,10 +172,6 @@ type AblationResult struct {
 	// GenerationalVsFlat: generational miss rate / flat 8-unit miss rate
 	// at pressure 6.
 	GenerationalVsFlat float64
-	// ApproxLRUVsExact: sampling approx-LRU miss rate / exact LRU miss
-	// rate at pressure 6 — what giving up the exact recency order (and
-	// its fragmentation-burst carving) costs in misses.
-	ApproxLRUVsExact float64
 }
 
 // Ablations runs the design-choice studies on one mid-sized benchmark.
@@ -266,17 +262,6 @@ func (s *Suite) Ablations() (*AblationResult, error) {
 		return nil, err
 	}
 	res.GenerationalVsFlat = rg.Stats.MissRate() / r8.Stats.MissRate()
-
-	// Sampling vs exact recency.
-	rl, err := sim.Run(tr, core.Policy{Kind: core.PolicyLRU}, 6, sim.Options{Verify: s.cfg.Verify})
-	if err != nil {
-		return nil, err
-	}
-	rs, err := sim.Run(tr, core.Policy{Kind: core.PolicyApproxLRU}, 6, sim.Options{Verify: s.cfg.Verify})
-	if err != nil {
-		return nil, err
-	}
-	res.ApproxLRUVsExact = rs.Stats.MissRate() / rl.Stats.MissRate()
 	return res, nil
 }
 
@@ -288,6 +273,5 @@ func (r *AblationResult) Table() *report.Table {
 	t.AddRowf("adaptive / best static overhead (p10)", fmt.Sprintf("%.3f", r.AdaptiveVsBestStatic))
 	t.AddRowf("preemptive flush / FLUSH overhead (p6)", fmt.Sprintf("%.3f", r.PreemptiveVsFlush))
 	t.AddRowf("generational / flat 8-unit miss rate (p6)", fmt.Sprintf("%.3f", r.GenerationalVsFlat))
-	t.AddRowf("approx-LRU / exact LRU miss rate (p6)", fmt.Sprintf("%.3f", r.ApproxLRUVsExact))
 	return t
 }

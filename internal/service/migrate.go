@@ -114,12 +114,9 @@ func (s *Service) Migrate(name string, dstIdx int) error {
 	if src == dst {
 		return nil
 	}
-	// Refuse up front for policies without span migration (the cache
-	// pointers are fixed at New, so reading them off-owner is safe).
-	if _, ok := src.migrator(); !ok {
-		return fmt.Errorf("service: policy %q does not support live migration", s.cfg.Policy)
-	}
-	if _, ok := dst.migrator(); !ok {
+	// Refuse up front for policies whose state a span migration would
+	// not carry whole: the tenant stays live on its source shard.
+	if !s.cfg.Policy.Migratable() {
 		return fmt.Errorf("service: policy %q does not support live migration", s.cfg.Policy)
 	}
 

@@ -3,6 +3,7 @@ package service
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -33,6 +34,7 @@ func TestMigrateSoloEquality(t *testing.T) {
 		{Kind: core.PolicyUnits, Units: 8},
 		{Kind: core.PolicyFine},
 		{Kind: core.PolicyLRU},
+		{Kind: core.PolicyCompactingLRU},
 	}
 	for _, policy := range policies {
 		for _, verify := range []bool{false, true} {
@@ -159,28 +161,49 @@ func TestMigrateValidation(t *testing.T) {
 		t.Error("out-of-range shard should fail")
 	}
 
-	// Policies without a span migrator refuse cleanly and leave the
-	// tenant live on its original shard.
-	nosvc, err := New(Config{Shards: 2, Policy: core.Policy{Kind: core.PolicyApproxLRU}, ShardCapacity: 1 << 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nosvc.Close()
-	ten, err := nosvc.RegisterPinned("beta", 0, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := nosvc.Migrate("beta", 1); err == nil {
-		t.Error("approx-lru migration should be refused")
-	}
-	if ten.Shard() != 0 {
-		t.Errorf("refused migration moved the tenant to shard %d", ten.Shard())
-	}
-	if _, err := ten.InsertBatch([]core.Superblock{{ID: 0, Size: 16}}); err != nil {
-		t.Errorf("tenant unusable after refused migration: %v", err)
-	}
-	if nosvc.MigrationStats().Started != 0 {
-		t.Error("refused migration should not count as started")
+	// Policies whose state a span migration would not carry whole refuse
+	// cleanly, name themselves, and leave the tenant live on its original
+	// shard: generational has no span migrator, and adaptive and
+	// preemptive would leave their controller state on the source.
+	for _, policy := range []core.Policy{
+		{Kind: core.PolicyGenerational, Units: 8},
+		{Kind: core.PolicyAdaptive},
+		{Kind: core.PolicyPreemptive},
+	} {
+		for _, verify := range []bool{false, true} {
+			nosvc, err := New(Config{Shards: 2, Policy: policy, ShardCapacity: 1 << 16, Verify: verify})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ten, err := nosvc.RegisterPinned("beta", 0, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ten.InsertBatch([]core.Superblock{{ID: 0, Size: 16}}); err != nil {
+				t.Fatal(err)
+			}
+			err = nosvc.Migrate("beta", 1)
+			if err == nil || !strings.Contains(err.Error(), policy.String()) {
+				t.Errorf("%s (verify=%v): migration error %v, want a refusal naming the policy", policy, verify, err)
+			}
+			if ten.Shard() != 0 {
+				t.Errorf("%s: refused migration moved the tenant to shard %d", policy, ten.Shard())
+			}
+			missed, err := ten.AccessBatch([]core.SuperblockID{0})
+			if err != nil || len(missed) != 0 {
+				t.Errorf("%s: tenant state lost after refused migration: missed=%v err=%v", policy, missed, err)
+			}
+			if _, err := ten.InsertBatch([]core.Superblock{{ID: 1, Size: 16}}); err != nil {
+				t.Errorf("%s: tenant unusable after refused migration: %v", policy, err)
+			}
+			if nosvc.MigrationStats().Started != 0 {
+				t.Errorf("%s: refused migration should not count as started", policy)
+			}
+			if err := nosvc.CheckConsistency(); err != nil {
+				t.Errorf("%s: %v", policy, err)
+			}
+			nosvc.Close()
+		}
 	}
 }
 

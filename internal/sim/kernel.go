@@ -128,8 +128,7 @@ type replay struct {
 	// lean selects the minimal loop when none of the three apply.
 	eng             *core.Engine
 	pol             core.VictimPolicy
-	lru             *core.LRUCache       // non-nil for plain LRU: devirtualized hit path
-	alru            *core.ApproxLRUCache // non-nil for ApproxLRU: devirtualized hit path
+	lru             *core.LRUCache // non-nil for plain LRU: devirtualized hit path
 	obsHit, obsMiss bool
 	ctrReads        bool
 	lean            bool
@@ -219,14 +218,9 @@ func newReplayFromTables(name string, tables replayTables, maxBlock, totalBytes,
 	}
 	if eng != nil {
 		rp.pol = eng.BoundPolicy()
-		// Recency policies observe every hit; a concrete receiver turns
-		// that per-hit interface dispatch into a direct (inlinable) call.
-		switch p := rp.pol.(type) {
-		case *core.LRUCache:
-			rp.lru = p
-		case *core.ApproxLRUCache:
-			rp.alru = p
-		}
+		// LRU observes every hit; a concrete receiver turns that per-hit
+		// interface dispatch into a direct (inlinable) call.
+		rp.lru, _ = rp.pol.(*core.LRUCache)
 		rp.obsHit, rp.obsMiss = eng.Observers()
 		if cr, ok := rp.pol.(core.CounterReader); ok {
 			rp.ctrReads = cr.ReadsCounters()
@@ -325,7 +319,7 @@ func (rp *replay) replayEngineLean(ids []core.SuperblockID) error {
 func (rp *replay) replayEngine(ids []core.SuperblockID) error {
 	e := rp.eng
 	pol := rp.pol
-	lru, alru := rp.lru, rp.alru
+	lru := rp.lru
 	obsHit, obsMiss := rp.obsHit, rp.obsMiss
 	ctrReads := rp.ctrReads
 	sizes := rp.tables.sizes
@@ -344,8 +338,6 @@ func (rp *replay) replayEngine(ids []core.SuperblockID) error {
 			switch {
 			case lru != nil:
 				lru.ObserveHit(id)
-			case alru != nil:
-				alru.ObserveHit(id)
 			case obsHit:
 				pol.ObserveHit(id)
 			}

@@ -43,7 +43,6 @@ func TestKernelEquality(t *testing.T) {
 		{Kind: core.PolicyUnits, Units: 8},
 		{Kind: core.PolicyFine},
 		{Kind: core.PolicyLRU},
-		{Kind: core.PolicyApproxLRU},
 		{Kind: core.PolicyCompactingLRU},
 		{Kind: core.PolicyAdaptive},
 		{Kind: core.PolicyPreemptive},
@@ -93,7 +92,6 @@ func TestKernelPatchedCountMode(t *testing.T) {
 		{Kind: core.PolicyUnits, Units: 8},
 		{Kind: core.PolicyFine},
 		{Kind: core.PolicyLRU},
-		{Kind: core.PolicyApproxLRU},
 		{Kind: core.PolicyCompactingLRU},
 		{Kind: core.PolicyAdaptive},
 		{Kind: core.PolicyPreemptive},
@@ -203,7 +201,6 @@ func TestZeroAllocReplayKernel(t *testing.T) {
 		{Kind: core.PolicyFine},
 		{Kind: core.PolicyLRU},
 		{Kind: core.PolicyCompactingLRU},
-		{Kind: core.PolicyApproxLRU},
 		{Kind: core.PolicyAdaptive},
 		{Kind: core.PolicyPreemptive},
 		{Kind: core.PolicyGenerational, Units: 8},
